@@ -117,8 +117,10 @@ fn bench_sim(h: &mut Harness) {
         f.run_until(256 * 64, &mut iba_sim::NullObserver);
         f.summarize().delivered_packets
     });
-    // The calendar queue under the fabric's access pattern: monotone
-    // time, a small burst of pushes per pop.
+    // The radix-heap event queue under the fabric's access pattern:
+    // monotone time, a small burst of pushes per pop. The body builds
+    // its queue, so the figure includes the first pushes' bucket
+    // allocations.
     h.bench("sim/event_queue_push_pop", || {
         let mut q = EventQueue::new();
         let mut now = 0u64;

@@ -1,31 +1,32 @@
-//! Deterministic discrete-event queue: a bucketed **calendar queue**.
+//! Deterministic discrete-event queue: a monotone **radix heap**.
 //!
-//! The fabric's event loop pops tens of millions of events per run, and
-//! the previous `BinaryHeap` paid an `O(log n)` chain of `(time, seq)`
-//! comparisons (plus sift-up/sift-down moves) on every operation. A
-//! calendar queue exploits the workload's structure instead: event
-//! times advance monotonically and cluster within a few packet
-//! durations of *now*, so hashing events into time-bucketed "days"
-//! makes both `push` and `pop` amortized `O(1)`.
+//! The fabric never schedules an event before the last one popped, and
+//! a radix heap exploits exactly that. It keeps `last`, the time of the
+//! last pop, and files an event at time `t` by the highest bit in which
+//! `t` differs from `last`; events at `last` itself wait in a FIFO,
+//! ready to pop. When that FIFO runs dry, the lowest non-empty bucket
+//! holds the earliest events: its minimum becomes the new `last` and
+//! its entries are re-filed, each into a strictly lower bucket. Higher
+//! buckets keep their index, since the new `last` agrees with the old
+//! one on every bit above the re-filed bucket's. Push is an append, and
+//! an event moves at most 64 times (usually two or three) before it
+//! pops.
 //!
-//! Layout: `1 << bucket_bits` buckets, each `1 << width_shift` cycles
-//! wide (a power of two, so the bucket of a timestamp is a shift and a
-//! mask — no division). An event at time `t` lives in virtual bucket
-//! `t >> width_shift`, mapped onto the ring by the bucket mask. Each
-//! bucket keeps its entries sorted descending by `(time, seq)` so the
-//! earliest entry is a `Vec::pop` from the end; with the width sized
-//! near the mean event gap, buckets hold only a handful of entries and
-//! the insertion memmove is tiny. The queue resizes (and re-calibrates
-//! the width from the live event span) when the population outgrows the
-//! ring.
+//! **Determinism.** Pop order is the total order on `(time, push
+//! order)`: earliest time first, FIFO within a cycle. Equal times
+//! always share a bucket (the bucket is a function of the time and
+//! `last`), every bucket keeps push order, and re-filing walks a bucket
+//! front to back, so no sequence numbers are needed.
 //!
-//! **Determinism is untouched by the layout.** Pop order is the total
-//! order on `(time, seq)` — exactly the old heap's order: earliest time
-//! first, FIFO within a cycle. The bucket geometry only changes *how*
-//! that minimum is found, never *which* entry is the minimum, so
-//! replacing the heap is invisible to every simulation.
+//! A push before `last` would break the bucket invariant, so it fails
+//! the [`invariants::time_monotone`] assertion instead of silently
+//! misordering. A bounded pop that refuses (see
+//! [`EventQueue::pop_at_most`]) leaves `last` where it was, so a caller
+//! may still schedule between the last pop and the refused bound.
 
+use crate::invariants;
 use crate::time::Cycles;
+use std::collections::VecDeque;
 
 /// An event kind processed by the fabric loop.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -50,88 +51,35 @@ pub enum Event {
     },
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Entry {
     time: Cycles,
-    seq: u64,
     event: Event,
 }
-
-impl Entry {
-    #[inline]
-    fn key(&self) -> (Cycles, u64) {
-        (self.time, self.seq)
-    }
-}
-
-/// Capacity of the sorted near lane. Small fabrics keep only a handful
-/// of events in flight; a contiguous sorted vector serves them in a few
-/// nanoseconds per op, while the calendar ring pays ~10x in pointer
-/// chasing and day-walk branches. 32 entries keeps the insertion
-/// memmove within a cache line or two.
-const NEAR_CAP: usize = 32;
-
-/// Initial ring size (`1 << INITIAL_BUCKET_BITS` buckets).
-const INITIAL_BUCKET_BITS: u32 = 8;
-
-/// Initial bucket width: 256 cycles, one small-MTU packet duration —
-/// the natural event gap of the simulated fabrics.
-const INITIAL_WIDTH_SHIFT: u32 = 8;
-
-/// Ring size ceiling (a million buckets is far beyond any fabric here).
-const MAX_BUCKET_BITS: u32 = 20;
-
-/// Grow when the population exceeds `buckets * GROW_FACTOR`.
-const GROW_FACTOR: usize = 2;
 
 /// A time-ordered event queue with FIFO tie-breaking (two events at the
 /// same cycle fire in insertion order), which makes runs reproducible.
 pub struct EventQueue {
-    /// Fast lane for small populations: a contiguous vector sorted
-    /// **ascending** by `(time, seq)` whose live region is
-    /// `near[near_head..]`. The earliest entry sits at `near_head`, so a
-    /// pop is a cursor bump; the steady-state push — a newest-key
-    /// append — is a plain `Vec::push`. The stale prefix is reclaimed
-    /// in bulk (on drain-empty, or by an amortized compaction once it
-    /// reaches `NEAR_CAP`), keeping every hot operation a contiguous
-    /// array access with no ring arithmetic. A push lands here while
-    /// the live region has room; overflow goes to the calendar ring,
-    /// and `pop` takes whichever side holds the global `(time, seq)`
-    /// minimum — the total order is unchanged.
-    near: Vec<Entry>,
-    /// Index of the earliest live entry in `near`.
-    near_head: usize,
-    /// Ring of buckets, each sorted **descending** by `(time, seq)` —
-    /// the bucket's earliest entry is its last element. Allocated
-    /// lazily on the first push past the near lane, so small fabrics
-    /// never pay for the ring at all.
-    buckets: Vec<Vec<Entry>>,
-    /// `buckets.len() - 1`; the ring size is a power of two.
-    bucket_mask: u64,
-    /// Bucket width in cycles is `1 << width_shift`.
-    width_shift: u32,
-    /// Virtual bucket (`time >> width_shift`) the search cursor is on;
-    /// never ahead of the earliest pending event.
-    cursor_vb: u64,
-    /// Memoized earliest entry: `(time, ring index)`. Invalidated by
-    /// pops and by pushes that beat it.
-    next_cache: Option<(Cycles, usize)>,
+    /// Events at exactly `last`, in push order.
+    current: VecDeque<Event>,
+    /// `buckets[b]`: the events whose time differs from `last` first
+    /// (from the top) at bit `b`, in push order.
+    buckets: [Vec<Entry>; 64],
+    /// Bit `b` set iff `buckets[b]` is non-empty.
+    occupied: u64,
+    /// Time of the last pop; no pending event is earlier.
+    last: Cycles,
     len: usize,
-    seq: u64,
 }
 
 impl Default for EventQueue {
     fn default() -> Self {
         EventQueue {
-            near: Vec::with_capacity(2 * NEAR_CAP),
-            near_head: 0,
-            buckets: Vec::new(),
-            bucket_mask: (1 << INITIAL_BUCKET_BITS) - 1,
-            width_shift: INITIAL_WIDTH_SHIFT,
-            cursor_vb: 0,
-            next_cache: None,
+            current: VecDeque::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
+            last: 0,
             len: 0,
-            seq: 0,
         }
     }
 }
@@ -144,54 +92,31 @@ impl EventQueue {
     }
 
     /// Schedules `event` at `time`.
+    ///
+    /// # Panics
+    ///
+    /// If `time` is before the last popped event's time.
     #[inline]
     pub fn push(&mut self, time: Cycles, event: Event) {
-        let seq = self.seq;
-        self.seq += 1;
-        let e = Entry { time, seq, event };
+        assert!(
+            invariants::time_monotone(self.last, time),
+            "invariant time_monotone violated: event at {time} pushed after a pop at {}",
+            self.last
+        );
         self.len += 1;
-        // New events usually carry the latest time: a plain append at
-        // the back of a near lane with room. Everything else —
-        // out-of-order pushes, lane compaction, calendar overflow — is
-        // kept out of line so this path stays a compare and a store.
-        if self.near.len() - self.near_head < NEAR_CAP
-            && self.near.len() < 2 * NEAR_CAP
-            && self.near.last().is_none_or(|b| b.key() < e.key())
-        {
-            self.near.push(e);
-            return;
-        }
-        self.push_slow(e);
+        self.file(Entry { time, event });
     }
 
-    /// Out-of-line remainder of [`push`](Self::push): out-of-order near
-    /// inserts, stale-prefix compaction, and calendar overflow.
-    #[cold]
-    fn push_slow(&mut self, e: Entry) {
-        if self.near.len() - self.near_head < NEAR_CAP {
-            // Reclaim the stale prefix once the vector reaches twice
-            // the lane size: at least NEAR_CAP pops funded the
-            // <= NEAR_CAP-entry move, so the compaction is amortized
-            // O(1) and the footprint stays bounded at 2 * NEAR_CAP.
-            if self.near.len() >= 2 * NEAR_CAP {
-                self.near.drain(..self.near_head);
-                self.near_head = 0;
-            }
-            // Out-of-order push (or post-compaction append):
-            // binary-search the slot within the live region.
-            if self.near.last().is_none_or(|b| b.key() < e.key()) {
-                self.near.push(e);
-            } else {
-                let pos = self.near[self.near_head..].partition_point(|x| x.key() < e.key());
-                self.near.insert(self.near_head + pos, e);
-            }
-            return;
-        }
-        self.insert(e);
-        if self.len - (self.near.len() - self.near_head) > self.buckets.len() * GROW_FACTOR
-            && self.buckets.len() < (1 << MAX_BUCKET_BITS)
-        {
-            self.rebuild(self.buckets.len().trailing_zeros() + 1);
+    /// Files an entry at or after `last` into its bucket.
+    #[inline]
+    fn file(&mut self, e: Entry) {
+        let diff = e.time ^ self.last;
+        if diff == 0 {
+            self.current.push_back(e.event);
+        } else {
+            let b = 63 - diff.leading_zeros() as usize;
+            self.buckets[b].push(e);
+            self.occupied |= 1 << b;
         }
     }
 
@@ -203,111 +128,53 @@ impl EventQueue {
 
     /// Removes the earliest event if its time is `<= t_end`; a bounded
     /// pop that fuses the event loop's peek-then-pop pair into one
-    /// queue operation (one ordering decision instead of two).
+    /// queue operation. A refusal leaves the queue untouched, so events
+    /// may still be pushed at any time from the last pop on.
     #[inline]
     pub fn pop_at_most(&mut self, t_end: Cycles) -> Option<(Cycles, Event)> {
-        // Fast path: everything lives in the near lane.
-        if self.len == self.near.len() - self.near_head {
-            let e = *self.near.get(self.near_head)?;
-            if e.time > t_end {
-                return None;
-            }
-            self.near_pop_front();
-            self.len -= 1;
-            return Some((e.time, e.event));
+        if self.current.is_empty() && !self.advance(t_end) {
+            return None;
         }
-        self.pop_both(t_end)
-    }
-
-    /// Out-of-line remainder of [`pop_at_most`](Self::pop_at_most) for
-    /// when the calendar ring holds events: the global minimum is
-    /// whichever side's minimum has the smaller `(time, seq)` key.
-    #[cold]
-    fn pop_both(&mut self, t_end: Cycles) -> Option<(Cycles, Event)> {
-        let calendar = self.find_next();
-        match (self.near.get(self.near_head).copied(), calendar) {
-            (Some(n), Some((ct, idx))) => {
-                let ck = self.buckets[idx]
-                    .last()
-                    .map_or((Cycles::MAX, u64::MAX), Entry::key);
-                if n.key() < ck {
-                    if n.time > t_end {
-                        return None;
-                    }
-                    self.near_pop_front();
-                    self.len -= 1;
-                    Some((n.time, n.event))
-                } else if ct > t_end {
-                    None
-                } else {
-                    self.pop_calendar()
-                }
-            }
-            (Some(n), None) => {
-                if n.time > t_end {
-                    return None;
-                }
-                self.near_pop_front();
-                self.len -= 1;
-                Some((n.time, n.event))
-            }
-            (None, Some((ct, _))) => {
-                if ct > t_end {
-                    None
-                } else {
-                    self.pop_calendar()
-                }
-            }
-            (None, None) => None,
+        if self.last > t_end {
+            return None;
         }
-    }
-
-    /// Drops the near lane's earliest live entry, resetting the lane's
-    /// storage when it drains empty.
-    #[inline]
-    fn near_pop_front(&mut self) {
-        self.near_head += 1;
-        if self.near_head == self.near.len() {
-            self.near.clear();
-            self.near_head = 0;
-        }
-    }
-
-    /// Removes the earliest calendar entry (`find_next` already
-    /// located it).
-    fn pop_calendar(&mut self) -> Option<(Cycles, Event)> {
-        let (_, idx) = self.find_next()?;
-        // find_next returned this bucket precisely because its tail is
-        // the calendar minimum.
-        let e = self.buckets[idx].pop()?;
+        let event = self.current.pop_front()?;
         self.len -= 1;
-        // If the bucket's new tail belongs to the same day it is still
-        // the calendar minimum (the popped entry was the minimum, so no
-        // earlier day has entries, and a whole day maps to one bucket):
-        // keeping the memo warm makes consecutive same-day pops O(1)
-        // instead of re-walking the ring.
-        self.next_cache = match self.buckets[idx].last() {
-            Some(n) if n.time >> self.width_shift == e.time >> self.width_shift => {
-                Some((n.time, idx))
-            }
-            _ => None,
-        };
-        Some((e.time, e.event))
+        Some((self.last, event))
+    }
+
+    /// Moves `last` to the earliest pending time, if that is `<= t_end`,
+    /// and re-files the lowest non-empty bucket around it; the events
+    /// at the new `last` land in `current`. Returns whether it moved.
+    fn advance(&mut self, t_end: Cycles) -> bool {
+        if self.occupied == 0 {
+            return false;
+        }
+        let b = self.occupied.trailing_zeros() as usize;
+        let mut bucket = std::mem::take(&mut self.buckets[b]);
+        let min = bucket.iter().map(|e| e.time).min().unwrap_or(Cycles::MAX);
+        if min > t_end {
+            self.buckets[b] = bucket;
+            return false;
+        }
+        self.last = min;
+        self.occupied &= !(1 << b);
+        for e in bucket.drain(..) {
+            self.file(e);
+        }
+        // Hand the emptied vector back so its capacity is reused.
+        self.buckets[b] = bucket;
+        true
     }
 
     /// Time of the next event without removing it.
-    #[inline]
     #[must_use]
-    pub fn peek_time(&mut self) -> Option<Cycles> {
-        if self.len == self.near.len() - self.near_head {
-            return self.near.get(self.near_head).map(|e| e.time);
+    pub fn peek_time(&self) -> Option<Cycles> {
+        if !self.current.is_empty() {
+            return Some(self.last);
         }
-        let near = self.near.get(self.near_head).map(|e| e.time);
-        let cal = self.find_next().map(|(t, _)| t);
-        match (near, cal) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        let b = self.occupied.trailing_zeros() as usize;
+        self.buckets.get(b)?.iter().map(|e| e.time).min()
     }
 
     /// Number of pending events.
@@ -320,105 +187,6 @@ impl EventQueue {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    #[inline]
-    fn ring_index(&self, vb: u64) -> usize {
-        (vb & self.bucket_mask) as usize
-    }
-
-    fn insert(&mut self, e: Entry) {
-        if self.buckets.is_empty() {
-            self.buckets = vec![Vec::new(); 1 << INITIAL_BUCKET_BITS];
-        }
-        let vb = e.time >> self.width_shift;
-        // A push that beats the cached minimum becomes the minimum
-        // (equal times keep FIFO order: the cached entry has the lower
-        // seq and wins, so only a strictly earlier time displaces it).
-        match self.next_cache {
-            Some((t, _)) if e.time < t => {
-                self.cursor_vb = vb;
-                self.next_cache = Some((e.time, self.ring_index(vb)));
-            }
-            // No memoized minimum: an insert behind the cursor (legal
-            // for out-of-order pushes) must pull the cursor back, or
-            // the day scan would start past the true minimum. When a
-            // minimum IS cached, `e.time >= t` implies `vb >= cursor`.
-            None if vb < self.cursor_vb => self.cursor_vb = vb,
-            _ => {}
-        }
-        let idx = self.ring_index(vb);
-        let bucket = &mut self.buckets[idx];
-        // Descending order: binary-search the insertion point. New
-        // events usually carry the newest time for their bucket, so
-        // this lands near the front of a short vector.
-        let pos = bucket.partition_point(|x| x.key() > e.key());
-        bucket.insert(pos, e);
-    }
-
-    /// Locates the earliest entry: `(time, ring index)`.
-    ///
-    /// Walks day-by-day from the cursor (amortized O(1): the cursor
-    /// only moves forward with simulated time); if one full lap finds
-    /// nothing — the pending events are all far in the future — falls
-    /// back to a direct scan over the ring and jumps the cursor there.
-    fn find_next(&mut self) -> Option<(Cycles, usize)> {
-        if self.len == self.near.len() - self.near_head {
-            // The calendar side is empty (`len` counts both lanes).
-            return None;
-        }
-        if let Some((t, idx)) = self.next_cache {
-            return Some((t, idx));
-        }
-        let n = self.bucket_mask + 1;
-        for step in 0..n {
-            let vb = self.cursor_vb + step;
-            let idx = self.ring_index(vb);
-            if let Some(e) = self.buckets[idx].last() {
-                // Only entries belonging to this very day count; the
-                // bucket's tail may be an event a whole lap ahead.
-                if e.time >> self.width_shift == vb {
-                    self.cursor_vb = vb;
-                    self.next_cache = Some((e.time, idx));
-                    return Some((e.time, idx));
-                }
-            }
-        }
-        // Sparse tail: scan every bucket for the global minimum.
-        let mut best: Option<(Cycles, u64, usize)> = None;
-        for (idx, bucket) in self.buckets.iter().enumerate() {
-            if let Some(e) = bucket.last() {
-                if best.is_none_or(|(t, s, _)| e.key() < (t, s)) {
-                    best = Some((e.time, e.seq, idx));
-                }
-            }
-        }
-        let (t, _, idx) = best?;
-        self.cursor_vb = t >> self.width_shift;
-        self.next_cache = Some((t, idx));
-        Some((t, idx))
-    }
-
-    /// Re-hashes every entry into a ring of `1 << bits` buckets, with
-    /// the bucket width re-calibrated to the mean gap of the live
-    /// population (clamped to a power of two via its bit length).
-    fn rebuild(&mut self, bits: u32) {
-        let entries: Vec<Entry> = self.buckets.iter_mut().flat_map(std::mem::take).collect();
-        if let (Some(min_t), Some(max_t)) = (
-            entries.iter().map(|e| e.time).min(),
-            entries.iter().map(|e| e.time).max(),
-        ) {
-            let mean_gap = ((max_t - min_t) / entries.len() as u64).max(1);
-            // floor(log2(mean_gap)), clamped to a sane range.
-            self.width_shift = (63 - mean_gap.leading_zeros()).clamp(2, 24);
-            self.cursor_vb = min_t >> self.width_shift;
-        }
-        self.buckets = vec![Vec::new(); 1 << bits];
-        self.bucket_mask = (1u64 << bits) - 1;
-        self.next_cache = None;
-        for e in entries {
-            self.insert(e);
-        }
     }
 }
 
@@ -570,5 +338,105 @@ mod tests {
             assert_eq!((t, flow), (wt, wf));
         }
         assert!(q.pop().is_none());
+    }
+    #[test]
+    fn refused_bounded_pop_keeps_earlier_pushes_legal() {
+        // `run_until(50)` refuses the event at 100; `add_flow` or
+        // `schedule_fault` at now = 50 then pushes 60, which must still
+        // pop first.
+        let mut q = EventQueue::new();
+        q.push(100, Event::Generate { flow: 0 });
+        assert_eq!(q.pop_at_most(50), None);
+        q.push(60, Event::Generate { flow: 1 });
+        assert_eq!(q.pop(), Some((60, Event::Generate { flow: 1 })));
+        assert_eq!(q.pop(), Some((100, Event::Generate { flow: 0 })));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn matches_reference_heap_under_bounded_pops() {
+        // Differential check against a BinaryHeap like the one above,
+        // with the fabric's `run_until` pattern mixed in: bounded pops
+        // that refuse, pushes exactly at a refused bound, and bursts of
+        // pushes at one shared time.
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut q = EventQueue::new();
+        let mut h: BinaryHeap<Reverse<(Cycles, u64, u32)>> = BinaryHeap::new();
+        let mut seq = 0u64;
+        let mut now = 0u64;
+        let mut refusals = 0u32;
+        let mut state = 7u64;
+        let mut rand = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut push = |q: &mut EventQueue, h: &mut BinaryHeap<_>, t: Cycles, flow: u32| {
+            q.push(t, Event::Generate { flow });
+            h.push(Reverse((t, seq, flow)));
+            seq += 1;
+        };
+        for round in 0..20_000u32 {
+            match rand() % 5 {
+                0 => {
+                    // A burst at one time, possibly `now` itself.
+                    let t = now + rand() % 3 * 100;
+                    for _ in 0..=rand() % 2 {
+                        push(&mut q, &mut h, t, round);
+                    }
+                }
+                1 => {
+                    let t = now + rand() % 5000;
+                    push(&mut q, &mut h, t, round);
+                }
+                2 | 3 => {
+                    // Bounded pop; on refusal the bound becomes `now`
+                    // and an event lands exactly on it.
+                    let bound = now + rand() % 600;
+                    let want = match h.peek() {
+                        Some(Reverse((t, _, _))) if *t <= bound => h.pop(),
+                        _ => None,
+                    };
+                    match (q.pop_at_most(bound), want) {
+                        (None, None) => {
+                            refusals += 1;
+                            now = bound;
+                            push(&mut q, &mut h, bound, round);
+                        }
+                        (Some((t, Event::Generate { flow })), Some(Reverse((wt, _, wf)))) => {
+                            assert_eq!((t, flow), (wt, wf), "diverged at round {round}");
+                            now = t;
+                        }
+                        other => panic!("diverged at round {round}: {other:?}"),
+                    }
+                }
+                _ => match (q.pop(), h.pop()) {
+                    (None, None) => {}
+                    (Some((t, Event::Generate { flow })), Some(Reverse((wt, _, wf)))) => {
+                        assert_eq!((t, flow), (wt, wf), "diverged at round {round}");
+                        now = t;
+                    }
+                    other => panic!("diverged at round {round}: {other:?}"),
+                },
+            }
+            assert_eq!(q.len(), h.len());
+            assert_eq!(q.peek_time(), h.peek().map(|Reverse((t, _, _))| *t));
+        }
+        assert!(refusals > 100, "only {refusals} refused bounded pops");
+        while let Some(Reverse((wt, _, wf))) = h.pop() {
+            assert_eq!(q.pop(), Some((wt, Event::Generate { flow: wf })));
+        }
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "invariant time_monotone violated")]
+    fn push_before_last_pop_is_rejected() {
+        let mut q = EventQueue::new();
+        q.push(100, Event::Generate { flow: 0 });
+        q.pop();
+        q.push(99, Event::Generate { flow: 1 });
     }
 }

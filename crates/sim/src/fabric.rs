@@ -48,6 +48,53 @@ impl NodeId {
 struct SwitchNode {
     inputs: Vec<InputPort>,
     outputs: Vec<OutputPort>,
+    /// Routed-lane index, output-major: `routed[port * n + q]` is the
+    /// set of lanes of input `q` whose head packet routes to output
+    /// `port` (`n` = port count). Kept in step with each lane's
+    /// `head_route` at the two places a head changes, so the candidate
+    /// scan of an output reads only the lanes routed to it.
+    routed: Vec<u16>,
+    /// `work[port]`: bit `q` set iff `routed[port * n + q] != 0`.
+    work: Vec<u64>,
+}
+
+impl SwitchNode {
+    /// Lane `vl` of input `q` has a new head packet routed to `port`.
+    fn route_head(&mut self, q: usize, vl: usize, port: u8) {
+        let n = self.inputs.len();
+        self.inputs[q].head_route[vl] = port;
+        self.routed[port as usize * n + q] |= 1 << vl;
+        self.work[port as usize] |= 1 << q;
+        debug_assert!(self.routed_index_holds(q), "routed-lane index stale");
+    }
+
+    /// Lane `vl` of input `q` lost its head packet (before the lane's
+    /// next head, if any, is routed).
+    fn unroute_head(&mut self, q: usize, vl: usize) {
+        let n = self.inputs.len();
+        let port = self.inputs[q].head_route[vl] as usize;
+        let lanes = &mut self.routed[port * n + q];
+        *lanes &= !(1 << vl);
+        if *lanes == 0 {
+            self.work[port] &= !(1 << q);
+        }
+        debug_assert!(
+            self.inputs[q].vls.len(vl) != 0 || self.routed_index_holds(q),
+            "routed-lane index stale"
+        );
+    }
+
+    /// [`invariants::routed_index_matches`] for input `q`.
+    fn routed_index_holds(&self, q: usize) -> bool {
+        let input = &self.inputs[q];
+        invariants::routed_index_matches(
+            q,
+            input.vls.occupied(),
+            &input.head_route,
+            &self.routed,
+            &self.work,
+        )
+    }
 }
 
 struct HostNode {
@@ -155,6 +202,7 @@ impl Fabric {
             .switch_ids()
             .map(|s| {
                 let n = topo.ports_per_switch() as usize;
+                assert!(n <= 64, "input sets are 64-bit masks: {n} ports");
                 let inputs = (0..n).map(|_| InputPort::new(cap)).collect();
                 let outputs = (0..n)
                     .map(|p| {
@@ -169,7 +217,12 @@ impl Fabric {
                         OutputPort::new(proto.clone(), Credits::full(cap), peer)
                     })
                     .collect();
-                SwitchNode { inputs, outputs }
+                SwitchNode {
+                    inputs,
+                    outputs,
+                    routed: vec![0; n * n],
+                    work: vec![0; n],
+                }
             })
             .collect();
 
@@ -448,26 +501,40 @@ impl Fabric {
         rec: &mut R,
     ) {
         rec.span_begin("sim.run_until");
-        while let Some((t, event)) = self.queue.pop_at_most(t_end) {
-            debug_assert!(
-                invariants::time_monotone(self.now, t),
-                "time went backwards: now={} event={t}",
-                self.now
-            );
-            self.now = t;
-            self.events_processed += 1;
-            rec.tick(t);
-            rec.sim_event(self.queue.len() as u64);
-            match event {
-                Event::Generate { flow } => self.on_generate(flow as usize, observer, rec),
-                Event::Complete { node, port } => {
-                    self.on_complete(NodeId::decode(node), port, observer, rec);
-                }
-                Event::Fault { index } => self.on_fault(index as usize, rec),
-            }
-        }
+        while self.step(t_end, observer, rec) {}
         self.now = self.now.max(t_end);
         rec.span_end("sim.run_until");
+    }
+
+    /// Dispatches the earliest event if it is due by `t_end`; returns
+    /// whether there was one.
+    #[inline]
+    fn step<R: Recorder>(
+        &mut self,
+        t_end: Cycles,
+        observer: &mut impl Observer,
+        rec: &mut R,
+    ) -> bool {
+        let Some((t, event)) = self.queue.pop_at_most(t_end) else {
+            return false;
+        };
+        debug_assert!(
+            invariants::time_monotone(self.now, t),
+            "time went backwards: now={} event={t}",
+            self.now
+        );
+        self.now = t;
+        self.events_processed += 1;
+        rec.tick(t);
+        rec.sim_event(self.queue.len() as u64);
+        match event {
+            Event::Generate { flow } => self.on_generate(flow as usize, observer, rec),
+            Event::Complete { node, port } => {
+                self.on_complete(NodeId::decode(node), port, observer, rec);
+            }
+            Event::Fault { index } => self.on_fault(index as usize, rec),
+        }
+        true
     }
 
     /// Per-port statistics of a switch output.
@@ -677,12 +744,13 @@ impl Fabric {
                 let onward = self.routing.port(SwitchId(switch), dst);
                 {
                     let Fabric { switches, pool, .. } = self;
-                    let input = &mut switches[switch as usize].inputs[in_port as usize];
+                    let node = &mut switches[switch as usize];
+                    let input = &mut node.inputs[in_port as usize];
                     input.vls.push(pool, vl, inflight.packet);
                     // A packet that became its lane's head carries the
                     // lane's cached route from here on.
                     if input.vls.len(vl) == 1 {
-                        input.head_route[vl] = onward;
+                        node.route_head(in_port as usize, vl, onward);
                     }
                 }
                 // The new packet may enable its onward output.
@@ -844,13 +912,15 @@ impl Fabric {
                 let fault = out.fault;
                 let my_high = out.arb.high_vl_mask();
                 let n_in = node.inputs.len();
-                let start = out.next_input as usize;
-                for off in 0..n_in {
-                    // `start < n_in`, so one conditional subtract wraps.
-                    let mut q = start + off;
-                    if q >= n_in {
-                        q -= n_in;
-                    }
+                let routed = &node.routed[port * n_in..(port + 1) * n_in];
+                // Inputs with a head routed here, round-robin from
+                // `next_input`: rotating the set puts those at or after
+                // it first and the wrap-around last.
+                let start = u32::from(out.next_input);
+                let mut inputs = node.work[port].rotate_right(start);
+                while inputs != 0 {
+                    let q = (inputs.trailing_zeros() + start) as usize & 63;
+                    inputs &= inputs - 1;
                     let input = &node.inputs[q];
                     if input.busy {
                         continue;
@@ -860,17 +930,14 @@ impl Fabric {
                     // this output may still take its *own* high-table
                     // VLs from them, but not low-priority packets.
                     let protected = protect_inputs && self.input_has_foreign_high_work(s, q, port);
-                    // Occupied lanes without a candidate yet, ascending.
-                    // The cached head route and head size answer the
-                    // whole scan from port-local arrays — no packet
-                    // pool or routing table access on this path.
-                    let mut pend = input.vls.occupied() & !cand_mask;
+                    // Lanes routed here without a candidate yet,
+                    // ascending. The index and the cached head size
+                    // answer the whole scan from switch-local arrays —
+                    // no packet pool or routing table access.
+                    let mut pend = routed[q] & !cand_mask;
                     while pend != 0 {
                         let vl = pend.trailing_zeros() as usize;
                         pend &= pend - 1;
-                        if input.head_route[vl] as usize != port {
-                            continue;
-                        }
                         if protected && vl != 15 && my_high & (1 << vl) == 0 {
                             continue;
                         }
@@ -950,15 +1017,13 @@ impl Fabric {
             "granted size {bytes} differs from head packet {}",
             packet.bytes
         );
-        self.switches[s].inputs[q].busy = true;
-        // The pop promoted a new head: refresh the lane's cached route.
-        let head_dst = self.switches[s].inputs[q]
-            .vls
-            .head(&self.pool, vl as usize)
-            .map(|p| p.dst);
-        if let Some(dst) = head_dst {
-            self.switches[s].inputs[q].head_route[vl as usize] =
-                self.routing.port(SwitchId(s as u16), dst);
+        let node = &mut self.switches[s];
+        node.inputs[q].busy = true;
+        // The pop promoted a new head: re-route the lane.
+        node.unroute_head(q, vl as usize);
+        if let Some(head) = node.inputs[q].vls.head(&self.pool, vl as usize) {
+            let onward = self.routing.port(SwitchId(s as u16), head.dst);
+            node.route_head(q, vl as usize, onward);
         }
 
         // Return the buffer credit to whoever feeds this input port.
@@ -1591,5 +1656,97 @@ mod tests {
         let mut obs = VecObserver::default();
         f.run_until(5_000_000, &mut obs);
         assert_eq!(f.host_backlog(HostId(0)), 0);
+    }
+
+    #[test]
+    fn routed_index_holds_at_every_event_under_faults() {
+        use crate::fault::FaultAction as F;
+        use iba_obs::ObsRecorder;
+        use iba_topo::{irregular, IrregularConfig};
+        // Four high-table lanes and every data lane in the low table, so
+        // priority input claiming has work to protect.
+        let table = VlArbConfig {
+            high: (1..=4)
+                .map(|vl| ArbEntry {
+                    vl: VirtualLane::data(vl),
+                    weight: 8,
+                })
+                .collect(),
+            ..Fabric::default_arb_config()
+        };
+        let mut kinds = [0u32; 4];
+        let (mut events, mut blocked, mut stalls) = (0u64, 0u64, 0u64);
+        for claiming in [false, true] {
+            for seed in [5u64, 8] {
+                let topo = irregular::generate(IrregularConfig::with_switches(4, seed));
+                let routing = updown::compute(&topo);
+                let (switches, ports) = (topo.num_switches() as u16, topo.ports_per_switch());
+                let hosts = topo.num_hosts() as u16;
+                let config = SimConfig {
+                    priority_input_claiming: claiming,
+                    ..SimConfig::paper_default(256)
+                };
+                let mut f = Fabric::new(topo, routing, config);
+                f.set_uniform_tables(&table);
+                // Every host sends on two data lanes (together they
+                // cover all fifteen), enough to queue heads for several
+                // outputs at once on every input.
+                for h in 0..hosts {
+                    for k in 1..=2 {
+                        let sl = ((h * 2 + k) % 15) as u8;
+                        let dst = (h + k * 5) % hosts;
+                        f.add_flow(flow(u32::from(h * 2 + k), h, dst, sl, 256, 700));
+                    }
+                }
+                let plan = FaultPlan::generate(seed, 2_000, 60_000, switches, ports, hosts);
+                for (_, action) in &plan.events {
+                    match action {
+                        F::LinkDown { .. } => kinds[0] += 1,
+                        F::SetVlBlackout { mask, .. } if *mask != 0 => kinds[1] += 1,
+                        F::SetCreditStall { mask, .. } if *mask != 0 => kinds[2] += 1,
+                        F::CorruptTable { .. } => kinds[3] += 1,
+                        _ => {}
+                    }
+                }
+                f.apply_fault_plan(&plan);
+                let mut obs = VecObserver::default();
+                let mut rec = ObsRecorder::new();
+                while f.step(70_000, &mut obs, &mut rec) {
+                    for (i, node) in f.switches.iter().enumerate() {
+                        for q in 0..node.inputs.len() {
+                            assert!(
+                                node.routed_index_holds(q),
+                                "routed-lane index stale: seed {seed}, claiming {claiming}, \
+                                 switch {i} input {q}, t={}",
+                                f.now
+                            );
+                        }
+                    }
+                }
+                assert!(!obs.records.is_empty());
+                events += f.events_processed();
+                blocked += rec
+                    .metrics
+                    .fault_blocked
+                    .0
+                    .iter()
+                    .map(|c| c.get())
+                    .sum::<u64>();
+                stalls += rec
+                    .metrics
+                    .arb_hol_stall
+                    .0
+                    .iter()
+                    .map(|c| c.get())
+                    .sum::<u64>();
+            }
+        }
+        // Non-vacuous: every fault kind fired, and the scans met both
+        // fault-withheld and credit-blocked heads.
+        assert!(kinds.iter().all(|&k| k > 0), "fault kinds {kinds:?}");
+        assert!(
+            events > 10_000 && blocked > 0 && stalls > 0,
+            "{events} {blocked} {stalls}"
+        );
     }
 }

@@ -29,6 +29,28 @@ pub fn unarbitrated_is_management(vl: u8) -> bool {
     vl == 15
 }
 
+/// A switch's routed-lane index agrees with input `q`'s lanes. For
+/// every output `port` (`n = work.len()` of them), `routed[port * n +
+/// q]` is exactly the set of occupied lanes of `q` whose head packet
+/// routes to `port`, and bit `q` of `work[port]` is set iff that set is
+/// non-empty.
+#[must_use]
+pub fn routed_index_matches(
+    q: usize,
+    occupied: u16,
+    head_route: &[u8; 16],
+    routed: &[u16],
+    work: &[u64],
+) -> bool {
+    let n = work.len();
+    (0..n).all(|port| {
+        let lanes = (0..16)
+            .filter(|&vl| occupied & (1 << vl) != 0 && head_route[vl] as usize == port)
+            .fold(0u16, |m, vl| m | 1 << vl);
+        routed[port * n + q] == lanes && (work[port] >> q & 1 != 0) == (lanes != 0)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -42,5 +64,17 @@ mod tests {
         assert!(!grant_matches_head(256, 64));
         assert!(unarbitrated_is_management(15));
         assert!(!unarbitrated_is_management(0));
+        // Two outputs; input 1 holds VL0 -> port 0 and VL3 -> port 1.
+        let mut route = [0u8; 16];
+        route[3] = 1;
+        let occupied = 0b1001;
+        let routed = [0, 0b0001, 0, 0b1000];
+        let holds =
+            |q, occupied, work: &[u64]| routed_index_matches(q, occupied, &route, &routed, work);
+        assert!(holds(1, occupied, &[0b10, 0b10]));
+        assert!(!holds(1, occupied, &[0b10, 0]));
+        assert!(!holds(1, 0b0001, &[0b10, 0b10]));
+        // Stale routes of empty lanes do not count.
+        assert!(holds(0, 0, &[0b10, 0b10]));
     }
 }

@@ -118,7 +118,8 @@ pub struct InputPort {
     /// Output port the head packet of each VL routes to (valid only
     /// while the lane's `occupied` bit is set). Routing is static for
     /// the lifetime of a run, so the fabric refreshes this cache on the
-    /// push/pop that changes a lane's head and the candidate scan never
+    /// push/pop that changes a lane's head, together with the switch's
+    /// routed-lane index that the candidate scan reads; neither path
     /// touches the routing table or the packet pool.
     pub head_route: [u8; 16],
     /// Whether the crossbar is currently draining this port.
