@@ -197,12 +197,7 @@ pub fn run_chaos(config: &ChaosConfig, threads: usize) -> ChaosOutcome {
                 ^ 0x0C0A_50FC_4A05,
         );
         corruption_ops += fill.table.inject_corruption(&mut rng);
-        let s = recovery.repair_table(&mut fill.table, &mut rec);
-        summary.tables += s.tables;
-        summary.repaired += s.repaired;
-        summary.evicted += s.evicted;
-        summary.reinstalled += s.reinstalled;
-        summary.lost += s.lost;
+        summary += recovery.repair_table(&mut fill.table, &mut rec);
     }
     let consistent = fill.table.check_consistency().is_ok();
     let recovery_stats = *recovery.stats();

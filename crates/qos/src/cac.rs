@@ -10,13 +10,13 @@ use iba_core::{
     Weight, MAX_TABLE_WEIGHT,
 };
 use iba_sim::NodeId;
-use std::collections::BTreeMap;
 
 /// Identifies one output port in the fabric.
 ///
 /// Ordered `(node, port)` with [`NodeId`]'s canonical order (switches
-/// before hosts): the registry is a `BTreeMap`, so everything that
-/// iterates tables — audits, recovery, reports — sees this order.
+/// before hosts). [`PortTables`] iterates its tables in exactly this
+/// order, so everything that walks tables — audits, recovery,
+/// reports — sees it.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct PortKey {
     /// Owning node.
@@ -122,13 +122,72 @@ impl std::fmt::Display for ReleaseError {
 
 impl std::error::Error for ReleaseError {}
 
+/// One node kind's tables: `rows[node][port]`, grown on first touch.
+type NodeRows = Vec<Vec<Option<HighPriorityTable>>>;
+
 /// The registry of high-priority tables, one per output port, created
 /// lazily with a shared configuration.
-#[derive(Clone, Debug)]
+///
+/// Tables live densely by port: switch rows first, then host rows,
+/// each indexed by node index and then port number, grown on first
+/// touch. A hop's table is two index operations away, and walking the
+/// rows in storage order yields the canonical [`PortKey`] order.
+#[derive(Clone)]
 pub struct PortTables {
-    tables: BTreeMap<PortKey, HighPriorityTable>,
+    /// `[switch rows, host rows]`, in [`NodeId`]'s variant order.
+    nodes: [NodeRows; 2],
     allocator: AllocatorKind,
     capacity_limit: Weight,
+}
+
+/// Row set and node index of a node: switches in `nodes[0]`, hosts in
+/// `nodes[1]`.
+fn locate(node: NodeId) -> (usize, usize) {
+    match node {
+        NodeId::Switch(i) => (0, usize::from(i)),
+        NodeId::Host(i) => (1, usize::from(i)),
+    }
+}
+
+/// Inverse of [`locate`] plus the port.
+fn port_key(kind: usize, node: usize, port: usize) -> PortKey {
+    // Rows are only ever created by `locate`-ing a `u16` node index and
+    // a `u8` port, so the narrowing casts are lossless.
+    let idx = node as u16;
+    PortKey {
+        node: if kind == 0 {
+            NodeId::Switch(idx)
+        } else {
+            NodeId::Host(idx)
+        },
+        port: port as u8,
+    }
+}
+
+/// An empty table with a registry's configuration.
+fn fresh_table(allocator: AllocatorKind, capacity_limit: Weight) -> HighPriorityTable {
+    let mut t = HighPriorityTable::with_allocator(allocator);
+    t.set_capacity_limit(capacity_limit);
+    t
+}
+
+/// Formats exactly as the derived `Debug` of the earlier
+/// `BTreeMap<PortKey, HighPriorityTable>` registry did, so table
+/// digests taken from this output stay comparable across versions.
+impl std::fmt::Debug for PortTables {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        struct Tables<'a>(&'a PortTables);
+        impl std::fmt::Debug for Tables<'_> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.debug_map().entries(self.0.tables()).finish()
+            }
+        }
+        f.debug_struct("PortTables")
+            .field("tables", &Tables(self))
+            .field("allocator", &self.allocator)
+            .field("capacity_limit", &self.capacity_limit)
+            .finish()
+    }
 }
 
 impl PortTables {
@@ -144,7 +203,7 @@ impl PortTables {
     pub fn with_allocator(allocator: AllocatorKind, qos_fraction: f64) -> Self {
         assert!((0.0..=1.0).contains(&qos_fraction));
         PortTables {
-            tables: BTreeMap::new(),
+            nodes: [Vec::new(), Vec::new()],
             allocator,
             capacity_limit: (qos_fraction * f64::from(MAX_TABLE_WEIGHT)) as Weight,
         }
@@ -156,25 +215,59 @@ impl PortTables {
         self.capacity_limit
     }
 
+    /// The slot of `key`, growing its node's row on first touch.
+    fn slot_mut(&mut self, key: PortKey) -> &mut Option<HighPriorityTable> {
+        let (kind, node) = locate(key.node);
+        let port = usize::from(key.port);
+        let rows = &mut self.nodes[kind];
+        if rows.len() <= node {
+            rows.resize_with(node + 1, Vec::new);
+        }
+        let row = &mut rows[node];
+        if row.len() <= port {
+            row.resize_with(port + 1, || None);
+        }
+        &mut row[port]
+    }
+
     fn table_mut(&mut self, key: PortKey) -> &mut HighPriorityTable {
-        let allocator = self.allocator;
-        let limit = self.capacity_limit;
-        self.tables.entry(key).or_insert_with(|| {
-            let mut t = HighPriorityTable::with_allocator(allocator);
-            t.set_capacity_limit(limit);
-            t
-        })
+        let (allocator, limit) = (self.allocator, self.capacity_limit);
+        self.slot_mut(key)
+            .get_or_insert_with(|| fresh_table(allocator, limit))
     }
 
     /// Read access to a port's table (if any reservation ever touched it).
     #[must_use]
     pub fn table(&self, key: PortKey) -> Option<&HighPriorityTable> {
-        self.tables.get(&key)
+        let (kind, node) = locate(key.node);
+        self.nodes[kind]
+            .get(node)?
+            .get(usize::from(key.port))?
+            .as_ref()
     }
 
-    /// All `(port, table)` pairs touched so far.
+    /// All `(port, table)` pairs touched so far, in canonical
+    /// [`PortKey`] order.
     pub fn tables(&self) -> impl Iterator<Item = (PortKey, &HighPriorityTable)> {
-        self.tables.iter().map(|(k, t)| (*k, t))
+        self.nodes.iter().enumerate().flat_map(|(kind, rows)| {
+            rows.iter().enumerate().flat_map(move |(node, row)| {
+                row.iter()
+                    .enumerate()
+                    .filter_map(move |(port, t)| Some((port_key(kind, node, port), t.as_ref()?)))
+            })
+        })
+    }
+
+    /// Mutable walk over every touched table in canonical [`PortKey`]
+    /// order — the order corruption drills and repair passes rely on.
+    pub(crate) fn tables_mut(&mut self) -> impl Iterator<Item = (PortKey, &mut HighPriorityTable)> {
+        self.nodes.iter_mut().enumerate().flat_map(|(kind, rows)| {
+            rows.iter_mut().enumerate().flat_map(move |(node, row)| {
+                row.iter_mut()
+                    .enumerate()
+                    .filter_map(move |(port, t)| Some((port_key(kind, node, port), t.as_mut()?)))
+            })
+        })
     }
 
     /// Attempts to reserve `(sl, vl, distance, weight)` at every port in
@@ -292,24 +385,11 @@ impl PortTables {
         }
     }
 
-    /// Port keys of every table touched so far, in canonical order
-    /// (switches before hosts, then node index, then port). The
-    /// registry is a `BTreeMap`, so this is simply its key order — no
-    /// re-sort, and no dependence on hasher behavior.
-    pub(crate) fn sorted_keys(&self) -> Vec<PortKey> {
-        self.tables.keys().copied().collect()
-    }
-
-    /// Mutable access to one touched table (recovery layer).
-    pub(crate) fn get_table_mut(&mut self, key: PortKey) -> Option<&mut HighPriorityTable> {
-        self.tables.get_mut(&key)
-    }
-
     /// An empty registry with this registry's configuration (allocator
     /// and capacity cap) — the shape a service shard starts from.
     pub(crate) fn empty_like(&self) -> PortTables {
         PortTables {
-            tables: BTreeMap::new(),
+            nodes: [Vec::new(), Vec::new()],
             allocator: self.allocator,
             capacity_limit: self.capacity_limit,
         }
@@ -319,7 +399,15 @@ impl PortTables {
     /// be disjoint (shards own disjoint port sets); a collision keeps
     /// `other`'s table, which the sharded service never produces.
     pub(crate) fn absorb(&mut self, other: PortTables) {
-        self.tables.extend(other.tables);
+        for (kind, rows) in other.nodes.into_iter().enumerate() {
+            for (node, row) in rows.into_iter().enumerate() {
+                for (port, t) in row.into_iter().enumerate() {
+                    if let Some(t) = t {
+                        *self.slot_mut(port_key(kind, node, port)) = Some(t);
+                    }
+                }
+            }
+        }
     }
 
     /// Non-mutating single-hop admission vote: exactly the error the
@@ -332,12 +420,10 @@ impl PortTables {
         distance: Distance,
         weight: Weight,
     ) -> Result<(), TableError> {
-        match self.tables.get(&key) {
+        match self.table(key) {
             Some(t) => t.check_admit(sl, distance, weight),
             None => {
-                let mut t = HighPriorityTable::with_allocator(self.allocator);
-                t.set_capacity_limit(self.capacity_limit);
-                t.check_admit(sl, distance, weight)
+                fresh_table(self.allocator, self.capacity_limit).check_admit(sl, distance, weight)
             }
         }
     }
@@ -374,7 +460,7 @@ impl PortTables {
         let total: f64 = keys
             .iter()
             .map(|k| {
-                self.tables.get(k).map_or(0.0, |t| {
+                self.table(*k).map_or(0.0, |t| {
                     iba_core::bandwidth_for_weight(t.reserved_weight(), link_mbps)
                 })
             })
@@ -384,7 +470,7 @@ impl PortTables {
 
     /// Consistency check over every table (tests).
     pub fn check_all(&self) -> Result<(), String> {
-        for (k, t) in &self.tables {
+        for (k, t) in self.tables() {
             t.check_consistency()
                 .map_err(|e| format!("{:?} port {}: {e}", k.node, k.port))?;
         }
@@ -394,13 +480,14 @@ impl PortTables {
     /// Returns a sequence's info at a port, for assertions.
     #[must_use]
     pub fn sequence_info(&self, key: PortKey, id: SequenceId) -> Option<iba_core::SequenceInfo> {
-        self.tables.get(&key)?.sequence(id)
+        self.table(key)?.sequence(id)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn key(n: u16, p: u8) -> PortKey {
         PortKey {
@@ -539,6 +626,91 @@ mod tests {
         assert_ne!(a.stable_code(), b.stable_code());
         assert_eq!(a.stable_code(), (3 << 8) | 1);
         assert_eq!(b.stable_code(), (1 << 32) | (3 << 8) | 1);
+    }
+
+    /// The registry as it was before it became dense: its derived
+    /// `Debug` is the format table digests were taken from.
+    mod reference {
+        use super::super::PortKey;
+        use iba_core::{AllocatorKind, HighPriorityTable, Weight};
+        use std::collections::BTreeMap;
+
+        // The fields are only read through the derived `Debug`.
+        #[allow(dead_code)]
+        #[derive(Debug)]
+        pub(super) struct PortTables {
+            pub(super) tables: BTreeMap<PortKey, HighPriorityTable>,
+            pub(super) allocator: AllocatorKind,
+            pub(super) capacity_limit: Weight,
+        }
+    }
+
+    #[test]
+    fn registry_walks_ports_in_key_order() {
+        // Switch and host ports, with gaps in both node and port
+        // numbers, touched in shuffled order.
+        let mut keys: Vec<PortKey> = Vec::new();
+        for n in [0u16, 1, 3, 7, 12] {
+            for p in [0u8, 2, 3, 7] {
+                keys.push(key(n, p));
+            }
+        }
+        for n in [0u16, 2, 5, 9, 40] {
+            keys.push(PortKey {
+                node: NodeId::Host(n),
+                port: 0,
+            });
+        }
+        keys.push(PortKey {
+            node: NodeId::Host(5),
+            port: 3,
+        });
+        let mut rng = iba_core::SplitMix64::seed_from_u64(11);
+        for i in (1..keys.len()).rev() {
+            keys.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+        }
+        let touch = |pt: &mut PortTables, i: usize, k: PortKey| {
+            let w = 10 + i as Weight;
+            pt.admit_path(&[k], sl(1), vl(1), Distance::D16, w).unwrap();
+        };
+
+        let mut pt = PortTables::new(0.8);
+        let mut model: BTreeMap<PortKey, HighPriorityTable> = BTreeMap::new();
+        for (i, &k) in keys.iter().enumerate() {
+            touch(&mut pt, i, k);
+            model.insert(k, pt.table(k).unwrap().clone());
+        }
+        let walked: Vec<PortKey> = pt.tables().map(|(k, _)| k).collect();
+        assert!(walked.windows(2).all(|w| w[0] < w[1]), "{walked:?}");
+        assert!(walked.iter().eq(model.keys()));
+        let mut_walked: Vec<PortKey> = pt.tables_mut().map(|(k, _)| k).collect();
+        assert_eq!(mut_walked, walked);
+        let expected = reference::PortTables {
+            tables: model,
+            allocator: AllocatorKind::BitReversal,
+            capacity_limit: pt.capacity_limit(),
+        };
+        assert_eq!(format!("{pt:?}"), format!("{expected:?}"));
+        assert_eq!(format!("{pt:#?}"), format!("{expected:#?}"));
+
+        // Reassembling shard partitions yields the same registry.
+        for shards in [1usize, 2, 8] {
+            let mut parts: Vec<PortTables> = (0..shards).map(|_| pt.empty_like()).collect();
+            for (i, &k) in keys.iter().enumerate() {
+                touch(&mut parts[crate::service::shard_of(k, shards)], i, k);
+            }
+            let mut whole = pt.empty_like();
+            for part in parts {
+                whole.absorb(part);
+            }
+            let rewalked: Vec<PortKey> = whole.tables().map(|(k, _)| k).collect();
+            assert_eq!(rewalked, walked, "{shards} shards");
+            assert_eq!(
+                format!("{whole:?}"),
+                format!("{expected:?}"),
+                "{shards} shards"
+            );
+        }
     }
 
     #[test]

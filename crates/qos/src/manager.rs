@@ -8,6 +8,8 @@ use iba_core::{sl, AllocatorKind, ArbEntry, SlTable, SlToVlMap, VlArbConfig};
 use iba_sim::{Fabric, NodeId, LINK_1X_MBPS};
 use iba_topo::{HostId, PortPeer, RoutingTable, SwitchId, Topology};
 use iba_traffic::ConnectionRequest;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Configuration of the low-priority table shared by all ports: one
 /// entry per best-effort class, weighted by preference (PBE over BE over
@@ -85,6 +87,9 @@ pub struct QosManager {
     sl_to_vl: SlToVlMap,
     tables: PortTables,
     connections: Vec<Option<Connection>>,
+    /// The empty slots of `connections`, lowest first: admission
+    /// reuses the lowest free id without scanning the slots.
+    free: BinaryHeap<Reverse<u32>>,
     low: LowPriorityPolicy,
     link_mbps: f64,
     header_bytes: u32,
@@ -117,6 +122,7 @@ impl QosManager {
             sl_to_vl: SlToVlMap::identity(),
             tables: PortTables::with_allocator(allocator, qos_fraction),
             connections: Vec::new(),
+            free: BinaryHeap::new(),
             low: LowPriorityPolicy::default(),
             link_mbps: LINK_1X_MBPS,
             header_bytes: 0,
@@ -316,17 +322,18 @@ impl QosManager {
             interarrival: req.interarrival(),
             hops,
         };
-        let id = self
-            .connections
-            .iter()
-            .position(Option::is_none)
-            .unwrap_or_else(|| {
-                self.connections.push(None);
-                self.connections.len() - 1
-            });
-        self.connections[id] = Some(conn);
+        let id = match self.free.pop() {
+            Some(Reverse(id)) => {
+                self.connections[id as usize] = Some(conn);
+                id
+            }
+            None => {
+                self.connections.push(Some(conn));
+                (self.connections.len() - 1) as u32
+            }
+        };
         self.accepted += 1;
-        Ok(ConnectionId(id as u32))
+        Ok(ConnectionId(id))
     }
 
     /// Tears a connection down, releasing every hop (defragmentation
@@ -345,6 +352,7 @@ impl QosManager {
         let Some(conn) = slot.take() else {
             return false;
         };
+        self.free.push(Reverse(id.0));
         // A failed release means the reservation was already evicted by
         // a repair pass; the connection record is gone either way, so
         // absorb the error instead of propagating a teardown failure.
@@ -360,10 +368,8 @@ impl QosManager {
     pub fn corrupt_tables(&mut self, seed: u64) -> usize {
         let mut rng = iba_core::SplitMix64::seed_from_u64(seed ^ 0x07AB_1EC0_5EED);
         let mut ops = 0;
-        for key in self.tables.sorted_keys() {
-            if let Some(t) = self.tables.get_table_mut(key) {
-                ops += t.inject_corruption(&mut rng);
-            }
+        for (_, t) in self.tables.tables_mut() {
+            ops += t.inject_corruption(&mut rng);
         }
         ops
     }
@@ -398,7 +404,7 @@ impl QosManager {
     /// Number of live connections.
     #[must_use]
     pub fn live_connections(&self) -> usize {
-        self.connections.iter().flatten().count()
+        self.connections.len() - self.free.len()
     }
 
     /// Access to the raw port tables (reports, tests).
@@ -717,6 +723,81 @@ mod tests {
         }
         let (h1, _s1) = m.reservation_summary();
         assert!(h1 > 0.0);
+    }
+
+    #[test]
+    fn torn_down_id_is_reissued_before_any_fresh_slot() {
+        let mut m = small_manager(1);
+        let admit =
+            |m: &mut QosManager, i: u32| m.request(&req(i, 0, 9, 2, Distance::D8, 1.0)).unwrap().0;
+        assert_eq!([0, 1, 2].map(|i| admit(&mut m, i)), [0, 1, 2]);
+        assert!(m.teardown(ConnectionId(1)));
+        assert_eq!(admit(&mut m, 3), 1);
+        assert!(m.teardown(ConnectionId(2)));
+        assert!(m.teardown(ConnectionId(0)));
+        assert_eq!(m.live_connections(), 1);
+        assert_eq!([4, 5, 6].map(|i| admit(&mut m, i)), [0, 2, 3]);
+        assert_eq!(m.live_connections(), 4);
+    }
+
+    #[test]
+    fn issued_ids_match_the_lowest_free_slot_model() {
+        // Seeded admit/teardown/repair walk against a shadow model of
+        // the slot vector: every admission must be issued the lowest
+        // free slot (what a linear scan of the slots finds), and the
+        // live set must match the model after every step.
+        let mut m = small_manager(3);
+        let mut rng = iba_core::SplitMix64::seed_from_u64(0x1D5);
+        let mut live: Vec<bool> = Vec::new();
+        let (mut reused, mut fresh, mut torn, mut repairs) = (0, 0, 0, 0);
+        for step in 0..10_000u32 {
+            let roll = rng.next_u64() % 100;
+            if roll < 50 {
+                let d = [Distance::D8, Distance::D16, Distance::D64][(rng.next_u64() % 3) as usize];
+                let r = req(
+                    step,
+                    (rng.next_u64() % 16) as u16,
+                    (rng.next_u64() % 16) as u16,
+                    (rng.next_u64() % 8) as u8,
+                    d,
+                    1.0 + (rng.next_u64() % 8) as f64,
+                );
+                if let Ok(id) = m.request(&r) {
+                    let lowest = live.iter().position(|l| !l).unwrap_or(live.len());
+                    assert_eq!(id.0 as usize, lowest, "step {step}");
+                    if lowest == live.len() {
+                        live.push(true);
+                        fresh += 1;
+                    } else {
+                        live[lowest] = true;
+                        reused += 1;
+                    }
+                }
+            } else if roll < 97 {
+                // Live, free and never-issued ids alike.
+                let id = (rng.next_u64() % (live.len() as u64 + 2)) as usize;
+                let expect = live.get(id).copied().unwrap_or(false);
+                assert_eq!(m.teardown(ConnectionId(id as u32)), expect, "step {step}");
+                if expect {
+                    live[id] = false;
+                    torn += 1;
+                }
+            } else {
+                m.corrupt_tables(u64::from(step));
+                let mut recovery = crate::recovery::RecoveryManager::new(u64::from(step));
+                m.repair_tables(&mut recovery, &mut iba_obs::NullRecorder);
+                repairs += 1;
+            }
+            let ids: Vec<usize> = m.connections().map(|(id, _)| id.0 as usize).collect();
+            let model: Vec<usize> = (0..live.len()).filter(|&i| live[i]).collect();
+            assert_eq!(ids, model, "step {step}");
+            assert_eq!(m.live_connections(), model.len(), "step {step}");
+        }
+        assert!(reused > 100 && fresh > 10, "{reused} reused, {fresh} fresh");
+        assert!(
+            torn > 1000 && repairs > 100,
+            "{torn} torn down, {repairs} repairs"
+        );
     }
 
     #[test]

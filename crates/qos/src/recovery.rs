@@ -85,6 +85,17 @@ pub struct RecoverySummary {
     pub lost: usize,
 }
 
+/// Field-wise sum: the summary of a sweep over several tables.
+impl std::ops::AddAssign for RecoverySummary {
+    fn add_assign(&mut self, s: RecoverySummary) {
+        self.tables += s.tables;
+        self.repaired += s.repaired;
+        self.evicted += s.evicted;
+        self.reinstalled += s.reinstalled;
+        self.lost += s.lost;
+    }
+}
+
 /// The recovery manager: owns the seeded rng, the policy and the
 /// lifetime stats. One instance drives any number of tables.
 #[derive(Clone, Debug)]
@@ -175,16 +186,8 @@ impl RecoveryManager {
         rec: &mut dyn iba_obs::Recorder,
     ) -> RecoverySummary {
         let mut total = RecoverySummary::default();
-        for key in tables.sorted_keys() {
-            let Some(t) = tables.get_table_mut(key) else {
-                continue;
-            };
-            let s = self.repair_table(t, rec);
-            total.tables += s.tables;
-            total.repaired += s.repaired;
-            total.evicted += s.evicted;
-            total.reinstalled += s.reinstalled;
-            total.lost += s.lost;
+        for (_, t) in tables.tables_mut() {
+            total += self.repair_table(t, rec);
         }
         total
     }

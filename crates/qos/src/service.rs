@@ -249,11 +249,9 @@ fn keyed_seed(seed: u64, key: PortKey) -> u64 {
 /// still match a sequential pass over the whole registry.
 pub fn corrupt_tables_keyed(tables: &mut PortTables, seed: u64) -> usize {
     let mut ops = 0;
-    for key in tables.sorted_keys() {
+    for (key, t) in tables.tables_mut() {
         let mut rng = SplitMix64::seed_from_u64(keyed_seed(seed ^ CORRUPT_SEED, key));
-        if let Some(t) = tables.get_table_mut(key) {
-            ops += t.inject_corruption(&mut rng);
-        }
+        ops += t.inject_corruption(&mut rng);
     }
     ops
 }
@@ -269,16 +267,8 @@ pub fn repair_tables_keyed(
     rec: &mut dyn iba_obs::Recorder,
 ) -> RecoverySummary {
     let mut total = RecoverySummary::default();
-    for key in tables.sorted_keys() {
-        let mut recovery = RecoveryManager::new(keyed_seed(seed, key));
-        if let Some(t) = tables.get_table_mut(key) {
-            let s = recovery.repair_table(t, rec);
-            total.tables += s.tables;
-            total.repaired += s.repaired;
-            total.evicted += s.evicted;
-            total.reinstalled += s.reinstalled;
-            total.lost += s.lost;
-        }
+    for (key, t) in tables.tables_mut() {
+        total += RecoveryManager::new(keyed_seed(seed, key)).repair_table(t, rec);
     }
     total
 }
@@ -2204,11 +2194,7 @@ fn apply_reply(
                 return;
             };
             *damage += got_damage;
-            summary.tables += got.tables;
-            summary.repaired += got.repaired;
-            summary.evicted += got.evicted;
-            summary.reinstalled += got.reinstalled;
-            summary.lost += got.lost;
+            *summary += got;
             *waiting -= 1;
             if *waiting == 0 {
                 let res = Resolution::Repaired {
